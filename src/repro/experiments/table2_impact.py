@@ -54,9 +54,9 @@ from repro.metrics.impact import (
 )
 from repro.overlay.geo import GlobaseOverlay, Rect
 from repro.rng import ensure_rng
-from repro.underlay.autonomous_system import LinkType
 from repro.experiments.common import generate_underlay
 from repro.underlay.network import Underlay, UnderlayConfig
+from repro.underlay.routing import TrafficClass
 
 #: bandwidth derating for transfers whose route crosses a transit link
 TRANSIT_CONGESTION_FACTOR = 0.45
@@ -111,12 +111,8 @@ class _Arm:
     # -- workload measurements ----------------------------------------------------
     def _route_crosses_transit(self, a: int, b: int) -> bool:
         asn_a, asn_b = self.underlay.asn_of(a), self.underlay.asn_of(b)
-        if asn_a == asn_b:
-            return False
-        return any(
-            t is LinkType.TRANSIT
-            for _x, _y, t in self.underlay.routing.path_links(asn_a, asn_b)
-        )
+        plan = self.underlay.routing.charge_plan(asn_a, asn_b)
+        return plan.traffic_class is TrafficClass.TRANSIT
 
     def measure(self, *, n_downloads: int = 150, n_pairs: int = 150) -> _ArmMetrics:
         ids = self.underlay.host_ids()
@@ -181,14 +177,8 @@ class _Arm:
         edge_links: dict[tuple[int, int], set[tuple[int, int]]] = {}
         for a, b in self.graph.edges():
             asn_a, asn_b = self.underlay.asn_of(a), self.underlay.asn_of(b)
-            if asn_a == asn_b:
-                edge_links[(a, b)] = set()
-                continue
-            used = {
-                (min(x, y), max(x, y))
-                for x, y, t in self.underlay.routing.path_links(asn_a, asn_b)
-                if t is LinkType.TRANSIT
-            }
+            plan = self.underlay.routing.charge_plan(asn_a, asn_b)
+            used = {link for link, _payer in plan.transit}
             edge_links[(a, b)] = used
             for key in used:
                 usage[key] = usage.get(key, 0) + 1

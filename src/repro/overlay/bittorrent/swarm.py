@@ -37,8 +37,8 @@ from repro.overlay.bittorrent.peer import SwarmConfig, SwarmPeer
 from repro.overlay.bittorrent.torrent import Torrent
 from repro.overlay.bittorrent.tracker import Tracker
 from repro.rng import SeedLike, ensure_rng, spawn
-from repro.underlay.autonomous_system import LinkType
 from repro.underlay.network import Underlay
+from repro.underlay.routing import TrafficClass
 
 
 @dataclass
@@ -168,21 +168,15 @@ class SwarmSimulation:
             if self._bytes_ctr is not None:
                 self._bytes_ctr.inc(nbytes, traffic_class="intra_as")
             return
-        crossed_transit = False
-        for a, b, link_type in self.underlay.routing.path_links(src_asn, dst_asn):
-            if link_type is LinkType.TRANSIT:
-                crossed_transit = True
-                payer = a if b in self.underlay.topology.asys(a).providers else b
-                self.paid_transit[payer] = self.paid_transit.get(payer, 0.0) + nbytes
-        if crossed_transit:
+        plan = self.underlay.routing.charge_plan(src_asn, dst_asn)
+        for payer in plan.payers:
+            self.paid_transit[payer] = self.paid_transit.get(payer, 0.0) + nbytes
+        if plan.traffic_class is TrafficClass.TRANSIT:
             self.transit_bytes += nbytes
         else:
             self.peering_bytes += nbytes
         if self._bytes_ctr is not None:
-            self._bytes_ctr.inc(
-                nbytes,
-                traffic_class="transit" if crossed_transit else "peering",
-            )
+            self._bytes_ctr.inc(nbytes, traffic_class=plan.traffic_class.name.lower())
 
     # -- core loop ----------------------------------------------------------------------
     def _availability(self) -> np.ndarray:

@@ -37,7 +37,7 @@ from repro.underlay.network import (
     Underlay,
     UnderlayConfig,
 )
-from repro.underlay.routing import ASRouting
+from repro.underlay.routing import ASRouting, ChargePlan, TrafficClass
 from repro.underlay.topology import InternetTopology, TopologyConfig, generate_topology
 from repro.underlay.traffic import TrafficAccountant, TrafficSummary
 
@@ -45,6 +45,7 @@ __all__ = [
     "ACCESS_CLASSES",
     "ASRouting",
     "AutonomousSystem",
+    "ChargePlan",
     "CostModel",
     "CostParams",
     "Host",
@@ -63,6 +64,7 @@ __all__ = [
     "Tier",
     "TopologyConfig",
     "TrafficAccountant",
+    "TrafficClass",
     "TrafficSummary",
     "TransitBillingLedger",
     "Underlay",
