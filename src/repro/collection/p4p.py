@@ -26,6 +26,10 @@ from repro.rng import SeedLike, ensure_rng
 from repro.underlay.autonomous_system import LinkType
 from repro.underlay.network import Underlay
 
+#: largest exponent of a selection weight: exp(-700) ~ 1e-304 is still a
+#: normal float, so weights never underflow to 0
+_MAX_LOGIT = 700.0
+
 
 @dataclass(frozen=True)
 class P4PPolicy:
@@ -130,7 +134,11 @@ class P4PService(InfoSource):
     ) -> np.ndarray:
         """Probabilistic peer weighting ∝ exp(−pdistance/softness·scale):
         P4P guidance is a preference, not a hard filter, so distant peers
-        keep nonzero probability (connectivity!)."""
+        keep nonzero probability (connectivity!).  Exponents past
+        :data:`_MAX_LOGIT`, where ``exp`` nears underflow, are shifted
+        down by their minimum and, if their range is still wider than
+        that, scaled into it: every weight stays positive and the order
+        by p-distance is kept."""
         if softness <= 0:
             raise CollectionError("softness must be positive")
         cand = list(candidates)
@@ -140,7 +148,13 @@ class P4PService(InfoSource):
         row = self.pdistance_map(my)
         d = np.array([row[self.my_pid(c)] for c in cand])
         scale = max(float(np.median(d)), 1e-9)
-        w = np.exp(-d / (softness * scale))
+        z = d / (softness * scale)
+        if z.max() > _MAX_LOGIT:
+            z = z - z.min()
+            span = float(z.max())
+            if span > _MAX_LOGIT:
+                z *= _MAX_LOGIT / span
+        w = np.exp(-z)
         return w / w.sum()
 
     def pick_peers(
