@@ -141,7 +141,7 @@ class _Emitter:
             return
         for ob in self._observers:
             rec = getattr(ob, "record", None)
-            if rec is not None:  # time-aware observer (e.g. SendLog)
+            if rec is not None:  # time-aware observer (SendLog, TrafficAccountant)
                 rec(t, src, dst, kind, size)
             else:
                 ob.observe(src, dst, size, kind)

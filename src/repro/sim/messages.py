@@ -34,7 +34,12 @@ class LatencyProvider(Protocol):
 
 
 class TrafficObserver(Protocol):
-    """Callback protocol for per-message accounting."""
+    """Callback protocol for per-message accounting.
+
+    Batch kernels that send at virtual times ahead of the clock call an
+    observer's optional ``record(time, src, dst, kind, size_bytes)``
+    instead of :meth:`observe` when it has one.
+    """
 
     def observe(self, src: Hashable, dst: Hashable, size_bytes: int, kind: str) -> None:
         ...
