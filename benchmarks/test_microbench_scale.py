@@ -2,16 +2,16 @@
 
 ``test_scale_artifact`` runs the churn/liveness transition workload for
 both layouts (:class:`~repro.core.peerstate.PeerState` columns vs the
-retained :class:`~repro.core.peerstate.PeerStateReference` objects) at
+object-per-peer ``PeerStateReference`` of ``tests/peerstate_oracle.py``) at
 N = 10^3 / 10^4 / 10^5 hosts, each measurement in a **forked child
 process** so peak RSS (``getrusage.ru_maxrss``) is attributable to that
 (impl, N) cell, and records events/sec + peak RSS in ``BENCH_scale.json``
 at the repo root.  The headline claim — >= 3x state transitions/sec over
 the object layout at N = 10^4 — is asserted on every run.
 
-The scheduling section times population-scale event insertion through
-:class:`~repro.sim.shard.ShardedScheduler` (one batched
-``schedule_many``) against a serial ``schedule`` loop.
+Run from the repository root (the oracle is imported as ``tests``)::
+
+    PYTHONPATH=src python -m pytest -q benchmarks/test_microbench_scale.py
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import pathlib
 import resource
 import time
 
-from repro.core.peerstate import ONLINE, OFFLINE, PeerState, PeerStateReference
-from repro.sim import Simulation
-from repro.sim.shard import ShardedScheduler
+from repro.core.peerstate import ONLINE, OFFLINE, PeerState
+
+from tests.peerstate_oracle import PeerStateReference
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SIZES = (1_000, 10_000, 100_000)
@@ -107,41 +107,6 @@ def _measure_in_child(impl: str, n: int) -> dict:
     return result
 
 
-def _scheduling_workload(n: int) -> dict:
-    """Insert one staggered event per host: serial heappush loop vs an
-    AS-sharded defer + one batched flush.  Insertion is call-overhead
-    bound in CPython, so the point recorded here is that the
-    order-preserving batch path stays within a small constant of serial
-    (its value is the determinism-preserving shard structure, not raw
-    insert rate — the throughput claims live in the liveness section)."""
-
-    def noop() -> None:
-        pass
-
-    events = [(i % 64, float(i % 997), noop) for i in range(n)]
-
-    sim = Simulation()
-    t0 = time.perf_counter()
-    for _shard, delay, cb in events:
-        sim.schedule(delay, cb)
-    serial_s = time.perf_counter() - t0
-
-    sim = Simulation()
-    sched = ShardedScheduler(sim)
-    t0 = time.perf_counter()
-    for shard, delay, cb in events:
-        sched.defer(shard, delay, cb)
-    sched.flush()
-    sharded_s = time.perf_counter() - t0
-
-    return {
-        "n_events": n,
-        "serial_inserts_per_sec": round(n / serial_s),
-        "sharded_inserts_per_sec": round(n / sharded_s),
-        "sharded_overhead_ratio": round(sharded_s / serial_s, 2),
-    }
-
-
 def test_liveness_transitions_soa_10k(benchmark):
     state = PeerState(initial_capacity=10_000)
     hosts = list(range(10_000))
@@ -156,21 +121,6 @@ def test_liveness_transitions_soa_10k(benchmark):
     assert state.online_count() == 0
 
 
-def test_sharded_insert_100k(benchmark):
-    def insert():
-        sim = Simulation()
-        sched = ShardedScheduler(sim)
-        for i in range(100_000):
-            sched.defer(i % 64, float(i % 997), _noop)
-        return len(sched.flush())
-
-    assert benchmark(insert) == 100_000
-
-
-def _noop() -> None:
-    pass
-
-
 def test_scale_artifact():
     """Record events/sec + peak RSS vs N for both layouts in
     BENCH_scale.json and hold the headline claim: >= 3x state
@@ -179,8 +129,6 @@ def test_scale_artifact():
     for impl in ("soa", "reference"):
         for n in SIZES:
             artifact["liveness"][impl][f"n_{n}"] = _measure_in_child(impl, n)
-
-    artifact["scheduling"] = {"n_100000": _scheduling_workload(100_000)}
 
     soa_10k = artifact["liveness"]["soa"]["n_10000"]["events_per_sec"]
     ref_10k = artifact["liveness"]["reference"]["n_10000"]["events_per_sec"]

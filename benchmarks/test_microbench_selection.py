@@ -16,7 +16,6 @@ import time
 import numpy as np
 
 from repro.collection.oracle import ISPOracle
-from repro.core.score_cache import CachedSelection, ScoreCache
 from repro.core.selection import LatencySelection
 from repro.underlay import Underlay, UnderlayConfig
 
@@ -76,19 +75,6 @@ def test_oracle_rank_batch_1000(benchmark):
     assert len(out) == 1000
 
 
-def test_score_cache_warm_hit(benchmark):
-    underlay = _underlay()
-    cached = CachedSelection(
-        LatencySelection.from_underlay(underlay), ScoreCache()
-    )
-    querier, cand = _candidates(underlay, 1000)
-    cold = cached.rank(querier, cand)
-
-    warm = benchmark(cached.rank, querier, cand)
-    assert warm == cold
-    assert cached.cache.hits >= 1 and cached.cache.misses == 1
-
-
 def test_selection_artifact():
     """Record scalar-vs-batch timings in BENCH_selection.json and hold
     the headline claim: >= 3x on 1000-candidate latency ranking."""
@@ -125,14 +111,6 @@ def test_selection_artifact():
         "scalar_ms": round(oracle_ref_s * 1e3, 4),
         "batch_ms": round(oracle_batch_s * 1e3, 4),
         "speedup": round(oracle_ref_s / oracle_batch_s, 2),
-    }
-
-    cached = CachedSelection(sel, ScoreCache())
-    cached.rank(querier, cand)  # cold fill
-    warm_s = _best_of(lambda: cached.rank(querier, cand), repeats=10)
-    artifact["score_cache_n1000"] = {
-        "warm_hit_ms": round(warm_s * 1e3, 6),
-        "uncached_ms": round(batch_s * 1e3, 4),
     }
 
     (REPO_ROOT / "BENCH_selection.json").write_text(

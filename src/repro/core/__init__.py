@@ -15,10 +15,8 @@ from repro.core.peerstate import (
     Bitmap2D,
     NeighborColumns,
     PeerState,
-    PeerStateReference,
     SlotAllocator,
 )
-from repro.core.score_cache import CachedSelection, ScoreCache
 from repro.core.selection import (
     CompositeSelection,
     GeoSelection,
@@ -41,7 +39,6 @@ __all__ = [
     "ArrayNeighborSet",
     "BUILTIN_PROFILES",
     "Bitmap2D",
-    "CachedSelection",
     "CompositeSelection",
     "FILE_SHARING",
     "GeoSelection",
@@ -53,12 +50,10 @@ __all__ = [
     "NeighborColumns",
     "NeighborSelection",
     "PeerState",
-    "PeerStateReference",
     "QoSProfile",
     "REAL_TIME",
     "RandomSelection",
     "ResourceSelection",
-    "ScoreCache",
     "ScoredSelection",
     "SlotAllocator",
     "SystemEntry",

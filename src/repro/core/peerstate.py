@@ -24,14 +24,11 @@ Layout
 - :class:`Bitmap2D` — one packed bitset per slot (``uint64`` words):
   piece maps, ultrapeer/role flags, any per-peer boolean vector.
 - :class:`PeerState` — the façade combining the allocator, a status
-  column (offline/online/crashed), a region column for AS/region-sharded
-  scheduling, named neighbor tables, and named bitmaps.
+  column (offline/online/crashed), a region (AS) column, named neighbor
+  tables, and named bitmaps.
 
-:class:`PeerStateReference` is the retained object-based twin (one
-record object per peer, Python sets inside) with the same API.  It
-exists for the equivalence harness (``tests/test_peerstate_equiv.py``
-drives both with identical op sequences and asserts identical observable
-state) and as the baseline arm of ``benchmarks/test_microbench_scale.py``.
+``tests/test_peerstate_equiv.py`` pins these columns to the
+object-per-peer oracle in ``tests/peerstate_oracle.py``.
 """
 
 from __future__ import annotations
@@ -481,13 +478,9 @@ class PeerState:
         no per-host resolution."""
         self.status[slots] = status
 
-    # -- regions / sharding --------------------------------------------------------
+    # -- regions -------------------------------------------------------------------
     def region_of(self, host: Hashable) -> int:
         return int(self.region[self.slots.slot_of(host)])
-
-    def shard_of(self, host: Hashable, n_shards: int) -> int:
-        """Deterministic shard for region/AS-sharded scheduling."""
-        return int(self.region[self.slots.slot_of(host)]) % max(1, n_shards)
 
     # -- diagnostics ---------------------------------------------------------------
     @property
@@ -558,143 +551,3 @@ class ArrayNeighborSet:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ArrayNeighborSet({set(self)!r})"
-
-
-class _RefPeer:
-    """One peer record of the object-based reference implementation —
-    deliberately the layout the SoA refactor replaced (per-peer object,
-    Python sets, per-field attribute storage)."""
-
-    __slots__ = ("status", "region", "tables", "bitmaps")
-
-    def __init__(self, region: int) -> None:
-        self.status = OFFLINE
-        self.region = region
-        self.tables: dict[str, set[int]] = {}
-        self.bitmaps: dict[str, set[int]] = {}
-
-
-class PeerStateReference:
-    """Object-based ``_reference`` twin of :class:`PeerState`.
-
-    Same observable API, classic one-object-per-peer layout.  Used by the
-    equivalence harness and as the baseline of the scale benchmark; not
-    wired into any overlay hot path.
-    """
-
-    def __init__(self, **_ignored) -> None:
-        self._peers: dict[Hashable, _RefPeer] = {}
-        self._bitmap_widths: dict[str, int] = {}
-        self.recycles = 0  # API parity; objects have no slots to recycle
-
-    # -- membership ---------------------------------------------------------------
-    def admit(self, host: Hashable, region: int = 0) -> int:
-        if host in self._peers:
-            raise ConfigurationError(f"host {host!r} already has a slot")
-        self._peers[host] = _RefPeer(region)
-        return len(self._peers) - 1
-
-    def evict(self, host: Hashable) -> int:
-        if host not in self._peers:
-            raise ConfigurationError(f"host {host!r} has no slot")
-        del self._peers[host]
-        return 0
-
-    def __contains__(self, host: Hashable) -> bool:
-        return host in self._peers
-
-    def __len__(self) -> int:
-        return len(self._peers)
-
-    def hosts(self) -> list[Hashable]:
-        return list(self._peers)
-
-    # -- liveness -----------------------------------------------------------------
-    def set_online(self, host: Hashable) -> None:
-        self._peers[host].status = ONLINE
-
-    def set_offline(self, host: Hashable) -> None:
-        self._peers[host].status = OFFLINE
-
-    def set_crashed(self, host: Hashable) -> None:
-        self._peers[host].status = CRASHED
-
-    def is_online(self, host: Hashable) -> bool:
-        return self._peers[host].status == ONLINE
-
-    def status_of(self, host: Hashable) -> str:
-        return _STATUS_NAMES[self._peers[host].status]
-
-    def online_count(self) -> int:
-        return sum(1 for p in self._peers.values() if p.status == ONLINE)
-
-    def online_hosts(self) -> list[Hashable]:
-        return [h for h, p in self._peers.items() if p.status == ONLINE]
-
-    def set_status_many(self, hosts: Iterable[Hashable], status: int) -> None:
-        for h in hosts:
-            self._peers[h].status = status
-
-    # -- regions ------------------------------------------------------------------
-    def region_of(self, host: Hashable) -> int:
-        return self._peers[host].region
-
-    def shard_of(self, host: Hashable, n_shards: int) -> int:
-        return self._peers[host].region % max(1, n_shards)
-
-    # -- neighbor tables ------------------------------------------------------------
-    def _table(self, host: Hashable, name: str) -> set[int]:
-        return self._peers[host].tables.setdefault(name, set())
-
-    def table_add(self, host: Hashable, name: str, host_id: int) -> bool:
-        t = self._table(host, name)
-        if host_id in t:
-            return False
-        t.add(host_id)
-        return True
-
-    def table_discard(self, host: Hashable, name: str, host_id: int) -> bool:
-        t = self._table(host, name)
-        if host_id not in t:
-            return False
-        t.discard(host_id)
-        return True
-
-    def table_contains(self, host: Hashable, name: str, host_id: int) -> bool:
-        return host_id in self._table(host, name)
-
-    def table_row(self, host: Hashable, name: str) -> list[int]:
-        return sorted(self._table(host, name))
-
-    def table_degree(self, host: Hashable, name: str) -> int:
-        return len(self._table(host, name))
-
-    def table_clear(self, host: Hashable, name: str) -> None:
-        self._table(host, name).clear()
-
-    # -- bitmaps ---------------------------------------------------------------------
-    def _bitmap(self, host: Hashable, name: str) -> set[int]:
-        return self._peers[host].bitmaps.setdefault(name, set())
-
-    def bitmap_set(self, host: Hashable, name: str, bit: int) -> None:
-        width = self._bitmap_widths.setdefault(name, 64)
-        if not (0 <= bit < width):
-            raise ConfigurationError(
-                f"bit {bit} out of range for {width}-bit bitmap"
-            )
-        self._bitmap(host, name).add(bit)
-
-    def bitmap_clear(self, host: Hashable, name: str, bit: int) -> None:
-        self._bitmap(host, name).discard(bit)
-
-    def bitmap_test(self, host: Hashable, name: str, bit: int) -> bool:
-        return bit in self._bitmap(host, name)
-
-    def bitmap_bits(self, host: Hashable, name: str) -> list[int]:
-        return sorted(self._bitmap(host, name))
-
-    def bitmap_count(self, host: Hashable, name: str) -> int:
-        return len(self._bitmap(host, name))
-
-    def declare_bitmap(self, name: str, n_bits: int) -> None:
-        self._bitmap_widths[name] = n_bits

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import abc
 import heapq
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -454,8 +455,8 @@ class CompositeSelection(NeighborSelection):
     ) -> None:
         if not components:
             raise ConfigurationError("composite needs at least one component")
-        if any(w < 0 for _s, w in components):
-            raise ConfigurationError("weights must be non-negative")
+        if not all(math.isfinite(w) and w >= 0 for _s, w in components):
+            raise ConfigurationError("weights must be finite and non-negative")
         total = sum(w for _s, w in components)
         if total <= 0:
             raise ConfigurationError("at least one weight must be positive")

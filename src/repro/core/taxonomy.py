@@ -128,7 +128,7 @@ TABLE1_SYSTEMS: tuple[SystemEntry, ...] = (
     SystemEntry(
         "Proximity in Kademlia", UnderlayInfoType.LATENCY, "[17]",
         "low-RTT bucket retention (the peer next door)",
-        "repro.overlay.kademlia.kbucket",
+        "repro.overlay.kademlia.routing_table",
     ),
     # --- Geolocation -------------------------------------------------------------
     SystemEntry(

@@ -10,9 +10,8 @@ an insertion-stamp column, grown geometrically up to ``capacity`` so
 10^5 nodes do not each preallocate a 1000-entry pool), with a dict index
 for O(1) membership.  LRU order lives in the stamps, not in element
 positions, so ``remove`` is a swap-with-last instead of a shift.
-:class:`HostCacheReference` is the retained ordered-dict implementation;
-``tests/test_peerstate_equiv.py`` drives both with identical operation
-sequences and asserts identical snapshots.
+``tests/test_peerstate_equiv.py`` pins it to the ordered-dict oracle
+in ``tests/peerstate_oracle.py``.
 """
 
 from __future__ import annotations
@@ -93,64 +92,11 @@ class HostCache:
         if n == 0:
             return []
         # stamps are unique and increasing: descending stamp == most
-        # recent first, identical to the reference's reversed dict order
+        # recent first
         order = np.argsort(self._stamps[:n])[::-1]
         if limit is not None:
             order = order[:limit]
         return [int(p) for p in self._peers[:n][order]]
-
-    def fill_random(
-        self, population: Sequence[int], n: int, rng: SeedLike = None
-    ) -> None:
-        """Bootstrap fill: a random ``n``-subset of ``population``."""
-        rng = ensure_rng(rng)
-        pop = list(population)
-        n = min(n, len(pop), self.capacity)
-        if n == 0:
-            return
-        idx = rng.choice(len(pop), size=n, replace=False)
-        for i in idx:
-            self.add(pop[int(i)])
-
-
-class HostCacheReference:
-    """The retained object-based reference: an insertion-ordered dict.
-
-    This is the pre-refactor implementation, kept verbatim for the
-    equivalence harness."""
-
-    def __init__(self, capacity: int = 1000) -> None:
-        if capacity < 1:
-            raise OverlayError("hostcache capacity must be >= 1")
-        self.capacity = capacity
-        self._entries: dict[int, None] = {}  # ordered set
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, peer: int) -> bool:
-        return peer in self._entries
-
-    def add(self, peer: int) -> None:
-        """Insert (move-to-back on re-add); evicts the oldest when full."""
-        if peer in self._entries:
-            del self._entries[peer]
-        self._entries[peer] = None
-        while len(self._entries) > self.capacity:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
-
-    def add_all(self, peers: Iterable[int]) -> None:
-        for p in peers:
-            self.add(p)
-
-    def remove(self, peer: int) -> None:
-        self._entries.pop(peer, None)
-
-    def snapshot(self, limit: Optional[int] = None) -> list[int]:
-        """Most recent entries first, truncated to ``limit``."""
-        entries = list(reversed(self._entries))
-        return entries if limit is None else entries[:limit]
 
     def fill_random(
         self, population: Sequence[int], n: int, rng: SeedLike = None

@@ -115,22 +115,17 @@ class GnutellaNode(OverlayNode):
         self.role = role
         self.config = config
         self.hostcache = HostCache(config.hostcache_capacity)
-        # Neighbor/leaf sets live in the network's struct-of-arrays
-        # PeerState when this host is admitted there (the scale path);
-        # otherwise plain Python sets (the retained reference path).
-        peerstate = getattr(network, "peerstate", None)
-        if peerstate is not None and host.host_id in peerstate:
-            slot = peerstate.slot_of(host.host_id)
-            self.neighbors = ArrayNeighborSet(
-                peerstate.table("gnutella_neighbors", 2 * config.max_up_neighbors),
-                slot,
-            )  # UP-UP links, or leaf's ultrapeers
-            self.leaves = ArrayNeighborSet(
-                peerstate.table("gnutella_leaves", max(1, config.max_leaves)), slot
-            )  # UP only
-        else:
-            self.neighbors = set()      # UP-UP links, or leaf's ultrapeers
-            self.leaves = set()         # UP only
+        # Neighbor/leaf sets are rows of the network's struct-of-arrays
+        # PeerState (the network admits the host before building its node)
+        peerstate = network.peerstate
+        slot = peerstate.slot_of(host.host_id)
+        self.neighbors = ArrayNeighborSet(
+            peerstate.table("gnutella_neighbors", 2 * config.max_up_neighbors),
+            slot,
+        )  # UP-UP links, or leaf's ultrapeers
+        self.leaves = ArrayNeighborSet(
+            peerstate.table("gnutella_leaves", max(1, config.max_leaves)), slot
+        )  # UP only
         self.leaf_index: dict[int, set[int]] = {}  # keyword -> leaf host ids
         self.shared: set[int] = set()
         # duplicate suppression lives in the network-wide bounded

@@ -10,17 +10,15 @@ from repro.overlay.kademlia.id_space import (
     sort_by_distance,
     xor_distance,
 )
-from repro.overlay.kademlia.kbucket import Contact, KBucket
 from repro.overlay.kademlia.network import KademliaNetwork, LookupStats
 from repro.overlay.kademlia.node import KademliaConfig, KademliaNode, LookupResult
-from repro.overlay.kademlia.routing_table import RoutingTable
+from repro.overlay.kademlia.routing_table import Contact, RoutingTable
 from repro.overlay.kademlia.scoped import ScopedHashing, ScopedKademlia
 
 __all__ = [
     "Contact",
     "ID_BITS",
     "ID_SPACE",
-    "KBucket",
     "KademliaConfig",
     "KademliaNetwork",
     "KademliaNode",

@@ -11,12 +11,10 @@ from repro.errors import OverlayError
 from repro.obs import active_registry
 from repro.obs.registry import MetricRegistry
 from repro.overlay.kademlia.id_space import key_for, random_id
-from repro.overlay.kademlia.kbucket import Contact
 from repro.overlay.kademlia.node import KademliaConfig, KademliaNode, LookupResult
 from repro.rng import SeedLike, ensure_rng
 from repro.sim.engine import Simulation
 from repro.sim.messages import MessageBus
-from repro.sim.shard import ShardedScheduler, sharded_scheduling_enabled
 from repro.underlay.network import Underlay
 
 
@@ -107,25 +105,13 @@ class KademliaNetwork:
             self.nodes[h.host_id] = node
 
     def bootstrap_all(
-        self,
-        *,
-        seeds_per_node: int = 3,
-        stagger_ms: float = 500.0,
-        sharded: Optional[bool] = None,
+        self, *, seeds_per_node: int = 3, stagger_ms: float = 500.0
     ) -> None:
         """Every node seeds its table from a few random already-known nodes
-        and performs a self-lookup; staggered so the mesh forms gradually.
-
-        ``sharded`` (default: the process-wide setting) routes the
-        per-node bootstrap events through an AS-sharded
-        :class:`ShardedScheduler` — one batched ``schedule_many`` insert
-        for the whole population, bit-identical to the serial path."""
+        and performs a self-lookup; staggered so the mesh forms gradually."""
         ids = list(self.nodes)
         if len(ids) < 2:
             raise OverlayError("need at least two nodes to bootstrap")
-        if sharded is None:
-            sharded = sharded_scheduling_enabled()
-        scheduler = ShardedScheduler(self.sim) if sharded else None
         for i, hid in enumerate(ids):
             node = self.nodes[hid]
             pool = [x for x in ids if x != hid]
@@ -133,12 +119,7 @@ class KademliaNetwork:
             chosen = self._rng.choice(len(pool), size=k, replace=False)
             seeds = [self.nodes[pool[int(c)]].contact() for c in chosen]
             delay = float(self._rng.uniform(0, stagger_ms)) + i * 2.0
-            if scheduler is not None:
-                scheduler.defer(self.underlay.asn_of(hid), delay, node.bootstrap, seeds)
-            else:
-                self.sim.schedule(delay, node.bootstrap, seeds)
-        if scheduler is not None:
-            scheduler.flush()
+            self.sim.schedule(delay, node.bootstrap, seeds)
 
     # -- maintenance ---------------------------------------------------------------
     def start_maintenance(

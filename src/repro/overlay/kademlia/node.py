@@ -6,7 +6,7 @@ proximity techniques studied by Kaune et al. [17] for reducing inter-AS
 DHT traffic:
 
 - **PNS** (proximity neighbor selection): k-buckets retain the
-  lowest-RTT contacts (see :class:`~repro.overlay.kademlia.kbucket.KBucket`);
+  lowest-RTT contacts (see :mod:`~repro.overlay.kademlia.routing_table`);
 - **PR** (proximity routing): among equally useful next hops the lookup
   queries the lowest-RTT one first.
 
@@ -28,8 +28,7 @@ from repro.errors import OverlayError
 from repro.obs.registry import Histogram, MetricRegistry
 from repro.overlay.base import OverlayNode
 from repro.overlay.kademlia.id_space import validate_id, xor_distance
-from repro.overlay.kademlia.kbucket import Contact
-from repro.overlay.kademlia.routing_table import RoutingTable
+from repro.overlay.kademlia.routing_table import Contact, RoutingTable
 from repro.sim.engine import Simulation
 from repro.sim.messages import Message, MessageBus
 from repro.sim.requests import RequestManager, RetryPolicy

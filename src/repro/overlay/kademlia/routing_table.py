@@ -1,37 +1,45 @@
 """Kademlia routing table: 160 k-buckets keyed by shared-prefix length.
 
-Two backends share one API:
+Retention policy.  Plain Kademlia retains the *oldest live* contacts
+(LRU with head preference) because old contacts predict future
+liveness.  The proximity variant of Kaune et al. [17] instead retains
+the *lowest-latency* contacts among the candidates for a full bucket —
+"embracing the peer next door" — which leaves routing correctness
+untouched (any contact in the right bucket works) while making every
+hop cheaper for the underlay.
 
-- ``backend="array"`` (default) — struct-of-arrays storage: contact ids
-  as 20-byte rows of a ``uint8`` matrix, host ids and RTTs as parallel
-  ``int64``/``float64`` columns, one row block per *occupied* bucket
-  (lazily allocated — a node at 10^5-host scale touches ~log2(N)
-  buckets, so preallocating all 160 would waste two orders of magnitude
-  of memory).  ``closest()`` is vectorised: XOR distance comparison
-  equals lexicographic comparison of the XORed big-endian byte rows, so
-  one ``np.lexsort`` ranks the whole table without converting a single
-  160-bit Python int.
-- ``backend="object"`` — the retained ``_reference`` implementation on
-  :class:`~repro.overlay.kademlia.kbucket.KBucket` objects, used by the
-  equivalence tests (``tests/test_peerstate_equiv.py``) to pin the array
-  backend to the seed behaviour bucket-for-bucket.
+Storage is struct-of-arrays: contact ids as 20-byte rows of a ``uint8``
+matrix, host ids and RTTs as parallel ``int64``/``float64`` columns,
+one row block per *occupied* bucket (lazily allocated — a node at
+10^5-host scale touches ~log2(N) buckets, so preallocating all 160
+would waste two orders of magnitude of memory).  ``closest()`` is
+vectorised: XOR distance comparison equals lexicographic comparison of
+the XORed big-endian byte rows, so one ``np.lexsort`` ranks the whole
+table without converting a single 160-bit Python int.
+``tests/test_peerstate_equiv.py`` pins the columns bucket-for-bucket to
+the list-of-contacts k-bucket oracle in ``tests/peerstate_oracle.py``.
 """
 
 from __future__ import annotations
 
-import heapq
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
 
 from repro.errors import OverlayError
-from repro.overlay.kademlia.id_space import (
-    ID_BITS,
-    bucket_index,
-    validate_id,
-    xor_distance,
-)
-from repro.overlay.kademlia.kbucket import Contact, KBucket
+from repro.overlay.kademlia.id_space import ID_BITS, bucket_index, validate_id
+
+
+@dataclass(frozen=True)
+class Contact:
+    """A routing-table entry: overlay id + transport address (+ measured
+    proximity, used only by the PNS policy)."""
+
+    node_id: int
+    host_id: int
+    rtt_ms: float = float("inf")
+
 
 _ID_BYTES = ID_BITS // 8
 
@@ -41,8 +49,14 @@ def _id_bytes(node_id: int) -> np.ndarray:
 
 
 class ArrayBucketView:
-    """Read/write view of one bucket of an array-backed table, API- and
-    behaviour-compatible with :class:`KBucket`."""
+    """Read/write view of one bucket of a :class:`RoutingTable`.
+
+    ``proximity`` False: classic LRU — new contacts appended, existing
+    contacts moved to the tail on update, inserts into a full bucket are
+    dropped (we skip the liveness-ping eviction dance; under our churn
+    model stale contacts are removed explicitly).  ``proximity`` True:
+    the bucket keeps the k lowest-RTT contacts seen.
+    """
 
     __slots__ = ("_table", "_bucket")
 
@@ -70,7 +84,7 @@ class ArrayBucketView:
 
 
 class _BucketList:
-    """Lazy sequence façade so ``table.buckets[i]`` works on both backends."""
+    """Lazy sequence façade so ``table.buckets[i]`` yields a bucket view."""
 
     __slots__ = ("_table",)
 
@@ -99,17 +113,10 @@ class RoutingTable:
         *,
         k: int = 8,
         proximity: bool = False,
-        backend: str = "array",
     ) -> None:
         self.own_id = validate_id(own_id)
         self.k = k
         self.proximity = proximity
-        if backend not in ("array", "object"):
-            raise OverlayError(f"unknown routing-table backend {backend!r}")
-        self.backend = backend
-        if backend == "object":
-            self.buckets = [KBucket(k=k, proximity=proximity) for _ in range(ID_BITS)]
-            return
         if k < 1:
             raise OverlayError("bucket size must be >= 1")
         self.buckets = _BucketList(self)
@@ -122,7 +129,7 @@ class RoutingTable:
         self._rtts = np.zeros((0, k), dtype=np.float64)
         self._counts = np.zeros(0, dtype=np.int16)
 
-    # -- array-backend internals ---------------------------------------------------
+    # -- column internals -----------------------------------------------------------
     def _row(self, bucket: int) -> int:
         row = self._row_of.get(bucket)
         if row is not None:
@@ -190,7 +197,7 @@ class RoutingTable:
         self._counts[row] = n + 1
 
     def _bucket_update(self, bucket: int, contact: Contact) -> bool:
-        """Exact :meth:`KBucket.update` semantics on the array columns."""
+        """Insert or refresh a contact; True if it is (now) in the bucket."""
         row = self._row(bucket)
         n = int(self._counts[row])
         ids = self._ids_int[row]
@@ -234,35 +241,20 @@ class RoutingTable:
         """Record that we heard from ``contact``; returns True if retained."""
         if contact.node_id == self.own_id:
             return False
-        b = bucket_index(self.own_id, contact.node_id)
-        if self.backend == "object":
-            return self.buckets[b].update(contact)
-        return self._bucket_update(b, contact)
+        return self._bucket_update(bucket_index(self.own_id, contact.node_id), contact)
 
     def remove(self, node_id: int) -> None:
         if node_id == self.own_id:
             return
-        b = bucket_index(self.own_id, node_id)
-        if self.backend == "object":
-            self.buckets[b].remove(node_id)
-        else:
-            self._bucket_remove(b, node_id)
+        self._bucket_remove(bucket_index(self.own_id, node_id), node_id)
 
     def get(self, node_id: int) -> Optional[Contact]:
         if node_id == self.own_id:
             return None
-        b = bucket_index(self.own_id, node_id)
-        if self.backend == "object":
-            return self.buckets[b].get(node_id)
-        return self._bucket_get(b, node_id)
+        return self._bucket_get(bucket_index(self.own_id, node_id), node_id)
 
     def all_contacts(self) -> list[Contact]:
-        if self.backend == "object":
-            out: list[Contact] = []
-            for b in self.buckets:
-                out.extend(b.contacts())
-            return out
-        out = []
+        out: list[Contact] = []
         for bucket in sorted(self._row_of):
             out.extend(self._bucket_contacts(bucket))
         return out
@@ -271,12 +263,6 @@ class RoutingTable:
         """The ``count`` contacts closest to ``target`` by XOR distance."""
         count = self.k if count is None else count
         target = validate_id(target)
-        if self.backend == "object":
-            return heapq.nsmallest(
-                count,
-                self.all_contacts(),
-                key=lambda c: xor_distance(c.node_id, target),
-            )
         rows = len(self._bucket_of)
         if rows == 0 or count <= 0:
             return []
@@ -297,14 +283,10 @@ class RoutingTable:
         ]
 
     def size(self) -> int:
-        if self.backend == "object":
-            return sum(len(b) for b in self.buckets)
         rows = len(self._bucket_of)
         return int(self._counts[:rows].sum())
 
     def nonempty_buckets(self) -> list[int]:
-        if self.backend == "object":
-            return [i for i, b in enumerate(self.buckets) if len(b)]
         return sorted(
             b for b, row in self._row_of.items() if self._counts[row]
         )

@@ -140,7 +140,9 @@ class Bootstrapper:
             self.sim.run(until=self.sim.now + cfg.settle_ms)
             catalog = ContentCatalog(rng=ensure_rng(cfg.seed + 3))
             ops = GnutellaServiceOps(net, catalog, rng=ensure_rng(cfg.seed + 2))
-            ops.seed_content(files_per_host=cfg.files_per_host)
+            ops.seed_content(
+                files_per_host=cfg.files_per_host, settle_ms=cfg.settle_ms
+            )
         self.network = net
         self.ops = ops
         self.state = "ready"

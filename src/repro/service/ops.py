@@ -136,15 +136,20 @@ class GnutellaServiceOps:
             )
         net.search_listener = self._on_first_hit
 
-    def seed_content(self, *, files_per_host: int = 6) -> None:
+    def seed_content(
+        self, *, files_per_host: int = 6, settle_ms: float = 30_000.0
+    ) -> None:
         """Give every node a locality-correlated shared-file set (the
-        testlab scheme) so searches have answerable targets."""
+        testlab scheme) and run the sim until the leaves' SHARE
+        announcements settle, so ultrapeers can answer for their leaves
+        from the first search on."""
         shared = self.catalog.assign_shared_content(
             [self.net.underlay.host(hid) for hid in self.net.nodes],
             files_per_host=files_per_host,
         )
         for hid, files in shared.items():
             self.net.share_content(hid, files)
+        self.net.sim.run(until=self.net.sim.now + settle_ms)
 
     def online_ids(self) -> list[int]:
         return [hid for hid, node in self.net.nodes.items() if node.online]

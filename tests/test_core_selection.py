@@ -1,5 +1,7 @@
 """Unit tests for neighbor-selection strategies."""
 
+import math
+
 import pytest
 
 from repro.collection import IPToISPMapping, ISPOracle
@@ -137,3 +139,6 @@ class TestComposite:
             CompositeSelection([(RandomSelection(1), -1.0)])
         with pytest.raises(ConfigurationError):
             CompositeSelection([(RandomSelection(1), 0.0)])
+        for weight in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError):
+                CompositeSelection([(RandomSelection(1), 1.0), (RandomSelection(2), weight)])

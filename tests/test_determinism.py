@@ -65,7 +65,7 @@ def test_scale_smoke_100k_hosts_no_slot_leak():
     churn = ChurnProcess(
         sim, peers, ChurnConfig(mean_session=1e7, mean_offline=1e7),
         lambda p: None, lambda p: None,
-        rng=17, peerstate=state, region_of=lambda p: p % 64,
+        rng=17, peerstate=state,
     )
     churn.start(warmup=600.0)
     sim.run(until=700.0)

@@ -1,9 +1,16 @@
-"""Unit tests for k-buckets and the routing table."""
+"""Unit tests for k-buckets and the routing table.
+
+The k-bucket retention rules are checked on the list-of-contacts
+:class:`KBucket` oracle; ``tests/test_peerstate_equiv.py`` pins the
+routing table's bucket columns to it.
+"""
 
 import pytest
 
 from repro.errors import OverlayError
-from repro.overlay.kademlia import Contact, KBucket, RoutingTable, xor_distance
+from repro.overlay.kademlia import Contact, RoutingTable, xor_distance
+
+from tests.peerstate_oracle import KBucket
 
 
 def c(nid, hid=None, rtt=float("inf")):

@@ -203,12 +203,13 @@ class TestPeerState:
         assert state.online_count() == 2
         assert state.online_hosts() == [2, 3]
 
-    def test_regions_and_sharding(self):
+    def test_regions(self):
         state = PeerState()
         state.admit("x", region=13)
         assert state.region_of("x") == 13
-        assert state.shard_of("x", 4) == 13 % 4
-        assert state.shard_of("x", 0) == 0  # degenerate shard count
+        state.evict("x")
+        state.admit("y")  # recycles x's slot with a cleared region
+        assert state.region_of("y") == 0
 
     def test_named_column_families_are_cached(self):
         state = PeerState()

@@ -1,12 +1,13 @@
-"""Equivalence harness: SoA columns vs the retained object references.
+"""Equivalence harness: SoA columns vs the object references.
 
 Every struct-of-arrays data structure introduced by the scale refactor
-keeps its object-based predecessor as a ``_reference`` implementation.
-These tests drive both arms with identical operation sequences — random
-admit/evict/churn/table/bitmap ops from hypothesis, plus seeded numpy
-streams for the overlay structures — and assert the observable state is
-identical.  Any divergence is a semantics change the refactor smuggled
-in, not an optimisation.
+is pinned to its object-based predecessor, kept in
+``tests/peerstate_oracle.py``.  These tests drive both arms with
+identical operation sequences — random admit/evict/churn/table/bitmap
+ops from hypothesis, plus seeded numpy streams for the overlay
+structures — and assert the observable state is identical.  Any
+divergence is a semantics change the refactor smuggled in, not an
+optimisation.
 """
 
 from __future__ import annotations
@@ -16,18 +17,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.peerstate import (
-    CRASHED,
-    OFFLINE,
-    ONLINE,
-    PeerState,
-    PeerStateReference,
-)
-from repro.overlay.gnutella.hostcache import HostCache, HostCacheReference
+from repro.core.peerstate import CRASHED, OFFLINE, ONLINE, PeerState
+from repro.overlay.gnutella.hostcache import HostCache
 from repro.overlay.kademlia.id_space import ID_BITS
-from repro.overlay.kademlia.kbucket import Contact
-from repro.overlay.kademlia.routing_table import RoutingTable
+from repro.overlay.kademlia.routing_table import Contact, RoutingTable
 from repro.sim import ChurnConfig, ChurnProcess, Simulation
+
+from tests.peerstate_oracle import (
+    HostCacheReference,
+    PeerStateReference,
+    RoutingTableReference,
+    SetLiveness,
+)
 
 SEEDS = (101, 202, 303)
 
@@ -93,7 +94,6 @@ def _assert_peerstate_equal(soa, table, bitmap, ref):
         slot = soa.slot_of(host)
         assert soa.status_of(host) == ref.status_of(host)
         assert soa.region_of(host) == ref.region_of(host)
-        assert soa.shard_of(host, 3) == ref.shard_of(host, 3)
         assert table.row(slot).tolist() == ref.table_row(host, "nbrs")
         assert table.degree(slot) == ref.table_degree(host, "nbrs")
         assert bitmap.bits(slot) == ref.bitmap_bits(host, "bits")
@@ -137,7 +137,7 @@ def test_peerstate_equivalent_under_seeded_churn(seed):
     _assert_peerstate_equal(soa, table, bitmap, ref)
 
 
-# -- RoutingTable: array vs object backend ------------------------------------------
+# -- RoutingTable vs RoutingTableReference -------------------------------------------
 def _random_contacts(rng, n, id_pool):
     for _ in range(n):
         node_id = id_pool[int(rng.integers(len(id_pool)))]
@@ -148,7 +148,7 @@ def _random_contacts(rng, n, id_pool):
         )
 
 
-def _assert_tables_equal(arr: RoutingTable, obj: RoutingTable):
+def _assert_tables_equal(arr: RoutingTable, obj: RoutingTableReference):
     assert arr.size() == obj.size()
     assert arr.nonempty_buckets() == obj.nonempty_buckets()
     for b in obj.nonempty_buckets():
@@ -171,8 +171,8 @@ def test_routing_table_backends_equivalent(seed, proximity):
     id_pool = [own_id ^ (1 << int(b)) for b in rng.integers(0, ID_BITS, size=30)]
     id_pool += [rand_id() for _ in range(30)]
     id_pool = [i for i in id_pool if i != own_id] or [own_id ^ 1]
-    arr = RoutingTable(own_id, k=4, proximity=proximity, backend="array")
-    obj = RoutingTable(own_id, k=4, proximity=proximity, backend="object")
+    arr = RoutingTable(own_id, k=4, proximity=proximity)
+    obj = RoutingTableReference(own_id, k=4, proximity=proximity)
     for i, contact in enumerate(_random_contacts(rng, 400, id_pool)):
         assert arr.update(contact) == obj.update(contact)
         if i % 10 == 0:
@@ -187,13 +187,6 @@ def test_routing_table_backends_equivalent(seed, proximity):
     _assert_tables_equal(arr, obj)
     target = rand_id()
     assert arr.closest(target) == obj.closest(target)
-
-
-def test_routing_table_rejects_unknown_backend():
-    from repro.errors import OverlayError
-
-    with pytest.raises(OverlayError):
-        RoutingTable(1, backend="quantum")
 
 
 # -- HostCache vs HostCacheReference -------------------------------------------------
@@ -244,11 +237,11 @@ def test_hostcache_equivalent_property(ops):
     assert arr.snapshot(3) == ref.snapshot(3)
 
 
-# -- ChurnProcess: SoA liveness vs reference set ------------------------------------
+# -- ChurnProcess: SoA liveness vs SetLiveness ----------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 def test_churn_liveness_column_equivalent(seed):
-    """Same seed, same peers: the SoA status column and the reference
-    Python set agree on the online population at every sampled time."""
+    """Same seed, same peers: the SoA status column and a plain Python
+    set agree on the online population at every sampled time."""
     peers = [f"p{i}" for i in range(30)]
     cfg = ChurnConfig(mean_session=600.0, mean_offline=300.0)
 
@@ -259,7 +252,7 @@ def test_churn_liveness_column_equivalent(seed):
             sim, peers, cfg,
             lambda p: log.append(("j", p)),
             lambda p: log.append(("l", p)),
-            rng=seed, reference=reference,
+            rng=seed, peerstate=SetLiveness() if reference else None,
         )
         churn.start(warmup=120.0)
         snapshots = []

@@ -17,6 +17,8 @@ from repro.sim.queryplane import (
 )
 from repro.underlay import Underlay, UnderlayConfig
 
+from tests.peerstate_oracle import SeenSetReference
+
 
 def _peerstate(hosts):
     ps = PeerState()
@@ -51,10 +53,16 @@ def test_bitmap_batch_ops_match_scalar():
 
 
 # ---------------------------------------------------------------- SeenFilter
+def _seen_filter(window, hosts, backed):
+    """The bitmap SeenFilter, or (``backed`` False) its dict-of-sets oracle."""
+    if backed:
+        return SeenFilter(window, peerstate=_peerstate(hosts))
+    return SeenSetReference(window)
+
+
 @pytest.mark.parametrize("backed", [True, False])
 def test_seen_filter_mark_and_window_expiry(backed):
-    ps = _peerstate(range(8)) if backed else None
-    sf = SeenFilter(2, peerstate=ps)
+    sf = _seen_filter(2, range(8), backed)
     sf.mark(1, "k1")
     sf.mark_many([2, 3], "k2")
     assert sf.test(1, "k1") and sf.test(2, "k2") and sf.test(3, "k2")
@@ -72,8 +80,7 @@ def test_seen_filter_mark_and_window_expiry(backed):
 
 @pytest.mark.parametrize("backed", [True, False])
 def test_seen_filter_membership_and_empty_mark(backed):
-    ps = _peerstate(range(4)) if backed else None
-    sf = SeenFilter(4, peerstate=ps)
+    sf = _seen_filter(4, range(4), backed)
     assert sf.membership("fresh") is None
     sf.mark_many([], "reserved")  # an empty flood still claims its slot
     assert sf.known("reserved") and len(sf) == 1
@@ -85,7 +92,7 @@ def test_seen_filter_membership_and_empty_mark(backed):
 def test_seen_filter_backends_agree():
     hosts = list(range(10))
     bitmap_sf = SeenFilter(3, peerstate=_peerstate(hosts))
-    set_sf = SeenFilter(3)
+    set_sf = SeenSetReference(3)
     rng = np.random.default_rng(7)
     for _ in range(300):
         host = int(rng.integers(10))
@@ -100,7 +107,7 @@ def test_seen_filter_backends_agree():
 
 def test_seen_filter_rejects_bad_window():
     with pytest.raises(SimulationError):
-        SeenFilter(0)
+        SeenFilter(0, peerstate=PeerState())
 
 
 # ---------------------------------------------------------- BoundedRouteTable

@@ -78,6 +78,28 @@ def test_gnutella_closed_loop_drive():
     boot.stop_sync()
 
 
+def test_gnutella_ready_only_after_leaf_content_is_indexed():
+    """``build()`` returns with every leaf's SHARE delivered: each of its
+    ultrapeers indexes each of its keywords before the first search."""
+    boot = Bootstrapper(ServiceConfig(overlay="gnutella", n_hosts=48, seed=31))
+    boot.build()
+    nodes = boot.network.nodes
+    entries = [
+        (leaf.host_id, up, keyword)
+        for leaf in boot.network.leaves()
+        for up in leaf.neighbors
+        for keyword in leaf.shared
+    ]
+    assert len(entries) == 576
+    missing = [
+        (leaf, up, keyword)
+        for leaf, up, keyword in entries
+        if leaf not in nodes[up].leaf_index.get(keyword, ())
+    ]
+    assert missing == []
+    boot.stop_sync()
+
+
 def test_unknown_drive_mode_rejected():
     boot = Bootstrapper(ServiceConfig(**SMALL))
     boot.build()

@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError, RoutingError
 from repro.experiments.fig5_gnutella_oracle import _run_arm
 from repro.experiments.isp_bill import run_isp_bill
 from repro.overlay.gnutella import NeighborPolicy
+from repro.service import Bootstrapper, ServiceConfig
 from repro.underlay import (
     ASRouting,
     AutonomousSystem,
@@ -210,14 +211,39 @@ def _assert_conserved(bus, acct, oracle):
     assert ledger_state(acct) == ledger_state(oracle)
 
 
-def test_fig5_run_conserves_bytes(monkeypatch):
-    captured = _capture_ledgers(monkeypatch)
-    _run_arm(
-        name="unbiased", policy=NeighborPolicy.UNBIASED, oracle_list_limit=None,
-        biased_download=False, n_hosts=40, cache_fill=30, seed=3,
+def _assert_messages_conserved(bus):
+    """At quiescence every message the bus sent was delivered or dropped."""
+    s = bus.stats
+    assert s.sent > 0
+    assert s.sent == (
+        s.delivered + s.dropped_loss + s.dropped_fault + s.dropped_no_handler
     )
-    assert len(captured) == 1
-    _assert_conserved(*captured[0])
+
+
+def test_fig5_run_conserves_bytes(monkeypatch):
+    """A tiny FIG5 arm on both flood paths: the batch kernel commits its
+    message counts through ``account_external``."""
+    captured = _capture_ledgers(monkeypatch)
+    for query_backend in ("reference", "batch"):
+        _run_arm(
+            name="unbiased", policy=NeighborPolicy.UNBIASED,
+            oracle_list_limit=None, biased_download=False, n_hosts=40,
+            cache_fill=30, seed=3, query_backend=query_backend,
+        )
+    assert len(captured) == 2
+    for bus, acct, oracle in captured:
+        _assert_conserved(bus, acct, oracle)
+        _assert_messages_conserved(bus)
+
+
+def test_kademlia_service_drive_conserves_messages():
+    boot = Bootstrapper(ServiceConfig(overlay="kademlia", n_hosts=24, seed=5))
+    boot.build()
+    boot.drive_sync(rate_per_s=20.0, duration_ms=3_000.0, drain_ms=5_000.0)
+    boot.sim.run()  # drain every in-flight message and timeout
+    assert boot.sim.pending() == 0
+    _assert_messages_conserved(boot.network.bus)
+    boot.stop_sync()
 
 
 def test_isp_bill_run_conserves_bytes(monkeypatch):
@@ -227,3 +253,4 @@ def test_isp_bill_run_conserves_bytes(monkeypatch):
     for bus, acct, oracle in captured:
         assert acct.summary.transit_bytes > 0
         _assert_conserved(bus, acct, oracle)
+        _assert_messages_conserved(bus)
